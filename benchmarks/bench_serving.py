@@ -97,7 +97,9 @@ def _percentile(samples, fraction):
 @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
 def test_closed_loop_latency_and_parity(lubm, execution_mode):
     """Concurrent clients: zero bad responses, sequential-oracle parity."""
-    engine = TurboHomPPEngine(workers=2, execution_mode=execution_mode)
+    # Thread mode matches in each request's thread; process mode defaults
+    # to 2 shard workers.
+    engine = TurboHomPPEngine(execution_mode=execution_mode)
     engine.load(lubm.store)
     try:
         expected = _expected_multisets(engine, lubm)

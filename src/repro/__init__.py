@@ -59,7 +59,6 @@ from repro.graph import (
 from repro.matching import (
     GenericMatcher,
     MatchConfig,
-    ParallelMatcher,
     TurboMatcher,
     turbo_hom,
     turbo_hom_pp,
@@ -107,7 +106,6 @@ __all__ = [
     "MatchConfig",
     "TurboMatcher",
     "GenericMatcher",
-    "ParallelMatcher",
     "turbo_iso",
     "turbo_hom",
     "turbo_hom_pp",

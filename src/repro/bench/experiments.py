@@ -45,7 +45,7 @@ from repro.graph.transform import (
     type_aware_transform_query,
 )
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelMatcher
+from repro.matching.process_shard import ProcessShardPool
 from repro.matching.turbo import TurboMatcher
 from repro.sparql.parser import parse_sparql
 from repro.utils.timer import timed
@@ -271,20 +271,18 @@ def figure16_parallel(
     scale: int = 4,
     workers: Sequence[int] = (1, 2, 4, 8),
     query_ids: Sequence[str] = LONG_RUNNING_QUERIES,
-    mode: str = "threads",
 ) -> ResultTable:
     """Parallel speed-up on the long-running queries (Figure 16).
 
-    Reports both wall-clock speed-up (bounded by the GIL in thread mode and
-    by the machine's core count in process mode) and the work-partition
+    Runs the shared-memory process shard pool and reports both wall-clock
+    speed-up (bounded by the machine's free cores) and the work-partition
     speed-up (total work / busiest worker), which captures the load balance
-    of dynamic chunking that the paper's figure demonstrates.  ``mode``
-    selects the thread pool or the shared-memory process shard pool.
+    of dynamic chunking that the paper's figure demonstrates.
     """
     dataset = load_lubm(universities=scale)
     graph, mapping = type_aware_transform(dataset.store)
     table = ResultTable(
-        f"Figure 16: parallel speed-up in {dataset.name} ({mode})",
+        f"Figure 16: parallel speed-up in {dataset.name} (processes)",
         ["query", "workers", "elapsed (ms)", "wall-clock speedup", "work speedup", "solutions"],
     )
     for query_id in query_ids:
@@ -294,11 +292,13 @@ def figure16_parallel(
         for worker_count in workers:
             # Chunk size 1: with only a handful of starting vertices (Q2 has
             # one per university) larger chunks would serialize the work.
-            matcher = _parallel_matcher(graph, mode, worker_count, chunk_size=1)
+            pool = ProcessShardPool(
+                graph, MatchConfig.turbo_hom_pp(), workers=worker_count, chunk_size=1
+            )
             try:
-                solutions, stats = matcher.match(transformed.query_graph)
+                solutions, stats = pool.match(transformed.query_graph)
             finally:
-                matcher.close()
+                pool.close()
             if baseline_ms is None:
                 baseline_ms = stats.elapsed_ms
             wall_speedup = baseline_ms / stats.elapsed_ms if stats.elapsed_ms else float("nan")
@@ -311,25 +311,10 @@ def figure16_parallel(
                 len(solutions),
             )
     table.notes.append(
-        "wall-clock speed-up needs free cores (and in thread mode is GIL-bound); "
+        "wall-clock speed-up needs free cores; "
         "work speed-up measures dynamic-chunk load balance (the paper's NUMA experiment)"
     )
     return table
-
-
-def _parallel_matcher(graph, mode: str, workers: int, chunk_size: int):
-    """The thread pool or process shard pool behind one Figure 16 series."""
-    if mode == "processes":
-        from repro.matching.process_shard import ProcessShardPool
-
-        return ProcessShardPool(
-            graph, MatchConfig.turbo_hom_pp(), workers=workers, chunk_size=chunk_size
-        )
-    if mode == "threads":
-        return ParallelMatcher(
-            graph, MatchConfig.turbo_hom_pp(), workers=workers, chunk_size=chunk_size
-        )
-    raise ValueError(f"unknown parallel mode {mode!r}")
 
 
 # -------------------------------------------------------------- Ablation (ours)

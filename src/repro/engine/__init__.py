@@ -4,7 +4,6 @@ from repro.engine.base import (
     Engine,
     BGPSolver,
     resolve_execution_mode,
-    resolve_worker_count,
 )
 from repro.engine.cache_admission import (
     CountMinSketch,
@@ -35,5 +34,4 @@ __all__ = [
     "bgp_fingerprint",
     "compile_query",
     "resolve_execution_mode",
-    "resolve_worker_count",
 ]

@@ -17,28 +17,24 @@ from __future__ import annotations
 
 import abc
 import os
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.exceptions import EngineError
 from repro.rdf.store import TripleStore
 from repro.sparql import expressions as expr
-from repro.sparql.ast import SelectQuery, TriplePattern
+from repro.sparql.ast import GraphPattern, SelectQuery, TriplePattern
 from repro.sparql.parser import parse_sparql
 from repro.sparql.results import Binding, ResultSet
 
 
-#: Supported parallel execution modes: GIL-bound worker threads vs shard
-#: worker processes attached to a shared-memory graph export.
+#: Supported execution modes: match in the calling thread vs on shard worker
+#: processes attached to a shared-memory graph export.
 EXECUTION_MODES = ("threads", "processes")
 
 #: Environment override for engines constructed without an explicit mode —
 #: lets a CI job (or an operator) re-run an unmodified workload under
 #: process sharding: ``REPRO_EXECUTION_MODE=processes``.
 EXECUTION_MODE_ENV = "REPRO_EXECUTION_MODE"
-
-#: Companion override supplying the worker count for engines that were left
-#: at their sequential default (explicit ``workers=N`` arguments win).
-EXECUTION_WORKERS_ENV = "REPRO_EXECUTION_WORKERS"
 
 #: Supported result pipelines: ``"batch"`` moves columnar
 #: :class:`~repro.sparql.binding_batch.BindingBatch` objects end-to-end
@@ -209,31 +205,6 @@ def validate_worker_count(workers: int) -> int:
     return workers
 
 
-def resolve_worker_count(workers: int) -> int:
-    """Apply the ``REPRO_EXECUTION_WORKERS`` override to a *default* count.
-
-    Only engines left at the sequential default (``workers=1``) are
-    affected, so explicitly parallel constructions keep their configured
-    width while a CI sweep can still force every default engine parallel.
-    A malformed or non-positive override raises instead of being silently
-    coerced.
-    """
-    if workers != 1:
-        return validate_worker_count(workers)
-    env = os.environ.get(EXECUTION_WORKERS_ENV, "").strip()
-    if not env:
-        return workers
-    try:
-        parsed = int(env)
-    except ValueError as error:
-        raise EngineError(f"invalid {EXECUTION_WORKERS_ENV}={env!r}") from error
-    if parsed < 1:
-        raise EngineError(
-            f"invalid {EXECUTION_WORKERS_ENV}={env!r}: worker count must be positive"
-        )
-    return parsed
-
-
 class BGPSolver(abc.ABC):
     """Evaluates one basic graph pattern (a list of triple patterns)."""
 
@@ -353,9 +324,13 @@ class Engine(abc.ABC):
     def _parse_checked(self, query: Union[str, SelectQuery]) -> SelectQuery:
         """Parse a query and reject feature surface this engine lacks."""
         parsed = parse_sparql(query) if isinstance(query, str) else query
-        if not self.supports_optional and _uses_optional(parsed):
+        if not self.supports_optional and _any_group(
+            parsed, lambda group: bool(group.optionals)
+        ):
             raise EngineError(f"{self.name} does not support OPTIONAL")
-        if not self.supports_paths and _uses_paths(parsed):
+        if not self.supports_paths and _any_group(
+            parsed, lambda group: bool(group.paths)
+        ):
             raise EngineError(
                 f"{self.name} does not support transitive property paths"
             )
@@ -401,11 +376,15 @@ class Engine(abc.ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-def _uses_optional(query: SelectQuery) -> bool:
-    """True when the query contains an OPTIONAL clause anywhere."""
+def _any_group(query: SelectQuery, test: Callable[[GraphPattern], bool]) -> bool:
+    """True when ``test`` holds for some group anywhere in the query.
 
-    def walk(group) -> bool:
-        if group.optionals:
+    Walks the WHERE group and every group nested in it through UNION
+    alternatives and OPTIONAL clauses.
+    """
+
+    def walk(group: GraphPattern) -> bool:
+        if test(group):
             return True
         for union in group.unions:
             if any(walk(alt) for alt in union.alternatives):
@@ -414,16 +393,3 @@ def _uses_optional(query: SelectQuery) -> bool:
 
     return walk(query.where)
 
-
-def _uses_paths(query: SelectQuery) -> bool:
-    """True when the query contains a transitive path pattern anywhere."""
-
-    def walk(group) -> bool:
-        if group.paths:
-            return True
-        for union in group.unions:
-            if any(walk(alt) for alt in union.alternatives):
-                return True
-        return any(walk(opt) for opt in group.optionals)
-
-    return walk(query.where)

@@ -29,8 +29,8 @@ from repro.engine.plan import QueryPlan
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.transform import GraphMapping
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelStats
 from repro.matching.process_shard import ProcessShardPool
+from repro.matching.shard_protocol import ParallelStats
 from repro.matching.solution_batch import SolutionBatch
 from repro.matching.turbo import Solution
 

@@ -29,14 +29,12 @@ Predicate-variable choices travel in a typed :class:`MatchedSolution`
 wrapper internal to the solver, so algebra operators and projections only
 ever see plain variable→term bindings.
 
-Parallel execution (``workers > 1``) comes in two modes, selected by the
-``execution_mode`` knob (or the ``REPRO_EXECUTION_MODE`` environment
-override): ``"threads"`` reuses one engine-held
-:class:`~repro.matching.parallel.ParallelMatcher`, whose persistent worker
-pool spans queries instead of being spun up per BGP; ``"processes"`` runs a
-:class:`~repro.engine.shard_executor.ShardExecutor` whose worker processes
-attach the graph's shared-memory CSR export and cache rehydrated plans by
-fingerprint (see ``docs/execution_modes.md``).
+The ``execution_mode`` knob (or the ``REPRO_EXECUTION_MODE`` environment
+override) picks where BGPs are matched: ``"threads"`` matches in the
+calling thread with the sequential matcher; ``"processes"`` runs an
+engine-held :class:`~repro.engine.shard_executor.ShardExecutor` whose
+``workers`` processes attach the graph's shared-memory CSR export and cache
+rehydrated plans by fingerprint (see ``docs/execution_modes.md``).
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from repro.engine.base import (
     resolve_path_index_bytes,
     resolve_region_cache_bytes,
     resolve_result_pipeline,
-    resolve_worker_count,
     validate_worker_count,
 )
 from repro.engine.cache_admission import (
@@ -82,7 +79,6 @@ from repro.graph.transform import (
     type_aware_transform,
 )
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.shard_protocol import run_chunk
 from repro.matching.solution_batch import SolutionBatch
 from repro.matching.turbo import Solution, TurboMatcher
@@ -163,9 +159,7 @@ class TurboBGPSolver(BGPSolver):
         mapping: GraphMapping,
         config: MatchConfig,
         type_aware: bool,
-        workers: int = 1,
         plan_cache: Optional[PlanCache] = None,
-        pool: Optional[ParallelMatcher] = None,
         executor: Optional[ShardExecutor] = None,
         result_pipeline: str = "batch",
         counters: Optional[PipelineCounters] = None,
@@ -177,13 +171,12 @@ class TurboBGPSolver(BGPSolver):
         self.mapping = mapping
         self.config = config
         self.type_aware = type_aware
-        self.workers = workers
         self.plan_cache = plan_cache
         self.result_pipeline = result_pipeline
-        #: Cross-query candidate-region cache shared by the sequential
-        #: matcher and the thread pool (process shards hold per-worker
-        #: caches instead); keyed below by plan fingerprint + component
-        #: coordinates, so it is only consulted for fingerprinted plans.
+        #: Cross-query candidate-region cache of the sequential matcher
+        #: (process shards hold per-worker caches instead); keyed below by
+        #: plan fingerprint + component coordinates, so it is only
+        #: consulted for fingerprinted plans.
         self.region_cache = region_cache
         self.counters = counters if counters is not None else PipelineCounters()
         #: Shared operator-kernel context (join budgets, spill lifecycle,
@@ -200,13 +193,9 @@ class TurboBGPSolver(BGPSolver):
         #: hot-plan mix that drives cache warming; it must never raise.
         self.plan_listener = None
         # The sequential matcher is stateless between calls and shared by
-        # every component stream; the parallel pool (persistent worker
-        # threads) or shard executor (persistent worker processes) is
-        # engine-held so it spans queries.
+        # every component stream; the shard executor (persistent worker
+        # processes) is engine-held so it spans queries.
         self._matcher = TurboMatcher(graph, config)
-        if pool is None and executor is None and workers > 1:
-            pool = ParallelMatcher(graph, config, workers=workers)
-        self._pool = pool
         self._executor = executor
 
     def supports_filter_pushdown(self) -> bool:
@@ -369,15 +358,6 @@ class TurboBGPSolver(BGPSolver):
             solutions: Iterable[Solution] = self._executor.iter_component(
                 plan, alternative_index, component_index, deep_limit
             )
-        elif self._pool is not None and query.vertex_count() > 1:
-            solutions = self._pool.iter_match(
-                query,
-                vertex_predicates=component.pushdown,
-                max_results=deep_limit,
-                prepared=component.prepared,
-                region_cache=region_cache,
-                region_key=region_key,
-            )
         else:
             solutions = self._matcher.iter_match(
                 query,
@@ -489,15 +469,6 @@ class TurboBGPSolver(BGPSolver):
                 self._executor.iter_component_batches(
                     plan, alternative_index, component_index, deep_limit
                 )
-            )
-        elif self._pool is not None and query.vertex_count() > 1:
-            solution_batches = self._pool.iter_match_batches(
-                query,
-                vertex_predicates=component.pushdown,
-                max_results=deep_limit,
-                prepared=component.prepared,
-                region_cache=region_cache,
-                region_key=region_key,
             )
         else:
             solution_batches = self._matcher.iter_match_batches(
@@ -905,23 +876,26 @@ class TurboEngine(Engine):
         super().__init__()
         self.type_aware = type_aware
         self.config = config if config is not None else MatchConfig.turbo_hom_pp()
-        #: How parallel BGPs are executed: ``"threads"`` (GIL-bound worker
-        #: threads) or ``"processes"`` (shard workers over a shared-memory
-        #: graph export).  ``None`` defers to ``REPRO_EXECUTION_MODE``;
-        #: ``workers`` left at 1 defers to ``REPRO_EXECUTION_WORKERS``.
-        #: All three knobs are validated here, at construction — a typo or a
-        #: non-positive worker count raises a ValueError immediately instead
-        #: of failing deep inside a worker pool.
+        #: Where BGPs are matched: ``"threads"`` (the calling thread, one
+        #: worker) or ``"processes"`` (``workers`` shard processes over a
+        #: shared-memory graph export).  ``None`` defers to
+        #: ``REPRO_EXECUTION_MODE``.  Mode and worker count are validated
+        #: here, at construction — a typo, a non-positive worker count or
+        #: ``workers > 1`` in thread mode raises a ValueError immediately
+        #: instead of failing deep inside a worker pool.
         self.execution_mode = resolve_execution_mode(execution_mode)
         #: How results move above the matcher: ``"batch"`` (columnar
         #: BindingBatch pipeline, the default) or ``"scalar"`` (per-Binding
         #: compatibility path).  ``None`` defers to ``REPRO_RESULT_PIPELINE``.
         self.result_pipeline = resolve_result_pipeline(result_pipeline)
         validate_worker_count(workers)
-        # The env worker override accompanies the env mode sweep: an engine
-        # that pins its mode explicitly keeps its configured width.
-        if execution_mode is None:
-            workers = resolve_worker_count(workers)
+        if self.execution_mode == "threads" and workers > 1:
+            # Under CPython's GIL a thread pool cannot beat the sequential
+            # matcher, so processes are the one parallel path.
+            raise EngineError(
+                f"workers={workers} needs execution_mode=\"processes\"; "
+                "thread mode matches in the calling thread"
+            )
         if self.execution_mode == "processes" and workers == 1:
             # Process mode with one worker would silently fall back to the
             # sequential matcher on every query; requesting it means
@@ -952,10 +926,10 @@ class TurboEngine(Engine):
         self.region_cache_plan_share = resolve_region_plan_share(
             region_cache_plan_share
         )
-        #: Engine-held region cache (sequential matcher + thread pool).  In
-        #: process mode each shard worker holds its own cache of the same
-        #: budget; region keys are plan fingerprints, so the cache is
-        #: invalidated together with the plan cache (and on load()).
+        #: Engine-held region cache of the sequential matcher.  In process
+        #: mode each shard worker holds its own cache of the same budget;
+        #: region keys are plan fingerprints, so the cache is invalidated
+        #: together with the plan cache (and on load()).
         self.region_cache: Optional[RegionCache] = make_region_cache(
             self.region_cache_bytes,
             admission=make_admission_policy(
@@ -986,7 +960,6 @@ class TurboEngine(Engine):
         #: the solver and reported by :meth:`stats`.
         self.pipeline_counters = PipelineCounters()
         self._solver: Optional[TurboBGPSolver] = None
-        self._pool: Optional[ParallelMatcher] = None
         self._executor: Optional[ShardExecutor] = None
         self._path_manager: Optional[PathIndexManager] = None
         #: Plan listener installed before the solver exists (see
@@ -998,7 +971,7 @@ class TurboEngine(Engine):
         self._pool_generation_base = 0
         #: Serializes lazy solver/pool construction so two threads firing
         #: their first query cannot race two worker pools into existence
-        #: (one of which would leak unjoined threads or processes).
+        #: (one of which would leak unjoined processes).
         self._solver_lock = threading.Lock()
         #: Close-cycle marker captured by every open result stream: close()
         #: sets it (and installs a fresh one), making in-flight streams end
@@ -1031,19 +1004,14 @@ class TurboEngine(Engine):
 
     def _bgp_solver_locked(self) -> TurboBGPSolver:
         if self._solver is None:
-            if self.workers > 1:
-                if self.execution_mode == "processes" and self._executor is None:
-                    self._executor = ShardExecutor(
-                        self.graph, self.mapping, self.config, workers=self.workers,
-                        region_cache_bytes=self.region_cache_bytes,
-                        cache_admission=self.cache_admission,
-                        cache_sketch_bytes=self.cache_sketch_bytes,
-                        region_plan_share=self.region_cache_plan_share,
-                    )
-                elif self.execution_mode == "threads" and self._pool is None:
-                    self._pool = ParallelMatcher(
-                        self.graph, self.config, workers=self.workers
-                    )
+            if self.execution_mode == "processes" and self._executor is None:
+                self._executor = ShardExecutor(
+                    self.graph, self.mapping, self.config, workers=self.workers,
+                    region_cache_bytes=self.region_cache_bytes,
+                    cache_admission=self.cache_admission,
+                    cache_sketch_bytes=self.cache_sketch_bytes,
+                    region_plan_share=self.region_cache_plan_share,
+                )
             if self._path_manager is None:
                 # Reachability indexes build lazily per predicate inside the
                 # manager; in process mode every index is additionally
@@ -1061,9 +1029,7 @@ class TurboEngine(Engine):
                 self.mapping,
                 self.config,
                 self.type_aware,
-                self.workers,
                 plan_cache=self.plan_cache,
-                pool=self._pool,
                 executor=self._executor,
                 result_pipeline=self.result_pipeline,
                 counters=self.pipeline_counters,
@@ -1098,9 +1064,9 @@ class TurboEngine(Engine):
 
         Increments every time a fresh set of worker processes starts (first
         lazy build and every rebuild after :meth:`close`), i.e. every time
-        the per-worker region caches start cold.  Stays 0 in thread /
-        sequential modes, where the engine-held region cache survives
-        close() and warming has nothing to repair.
+        the per-worker region caches start cold.  Stays 0 in thread mode,
+        where the engine-held region cache survives close() and warming has
+        nothing to repair.
         """
         live = self._executor.pool.generation if self._executor is not None else 0
         return self._pool_generation_base + live
@@ -1123,7 +1089,7 @@ class TurboEngine(Engine):
             return 0
         if self.region_cache is None and self._executor is None:
             return 0
-        # Materialize the pools (process mode: ensures there are worker
+        # Materialize the shard pool (process mode: ensures there are worker
         # caches to warm) exactly as the first query would.
         self.bgp_solver()
         warmed = 0
@@ -1169,7 +1135,7 @@ class TurboEngine(Engine):
 
         Wraps the base implementation so a concurrent :meth:`close` makes
         an open stream raise a clear :class:`EngineError` at its next batch
-        boundary (the pools retire their jobs, so that boundary arrives
+        boundary (the shard pool retires its job, so that boundary arrives
         promptly) instead of silently truncating the result.
         """
         result = super().query_batches(query)
@@ -1279,14 +1245,14 @@ class TurboEngine(Engine):
         }
 
     def close(self) -> None:
-        """Shut down the worker pool / shard executor and spill storage.
+        """Shut down the shard executor and spill storage.
 
         Safe to call repeatedly and safe to call while result streams are
         open: in-flight :meth:`query_batches` streams observe the close
         marker and raise a clear :class:`EngineError` at their next batch
-        boundary (the pools retire their jobs first, so that boundary
+        boundary (the shard pool retires its job first, so that boundary
         arrives instead of deadlocking on a torn-down pool).  The engine
-        stays usable — a later query lazily rebuilds the solver and pools.
+        stays usable — a later query lazily rebuilds the solver and pool.
         """
         # Flip the close marker first (and install a fresh one for streams
         # opened after this close), so a stream racing the teardown below
@@ -1298,9 +1264,6 @@ class TurboEngine(Engine):
         # context's temp directory.  The context stays usable: the next
         # spill recreates its directory lazily.
         self.operator_context.cleanup()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         if self._executor is not None:
             # Bank the retired pool's generations so pool_generation() keeps
             # climbing when a later query rebuilds the executor from scratch.
@@ -1312,7 +1275,7 @@ class TurboEngine(Engine):
         if self._path_manager is not None:
             self._path_manager.close()
             self._path_manager = None
-        # Drop the memoized solver too: it holds the closed pool/executor,
+        # Drop the memoized solver too: it holds the closed executor,
         # and a later query must build (and the next close() must find) a
         # fresh engine-tracked one instead of resurrecting the old.
         self._solver = None

@@ -9,12 +9,11 @@ The package implements the paper's algorithm family:
   :func:`turbo_hom_pp` — convenience constructors with the paper's settings.
 * :mod:`~repro.matching.generic` — a simple backtracking matcher used as a
   correctness oracle and as the "generic framework" baseline of Section 2.2.
-* :mod:`~repro.matching.parallel` — work partitioning of starting vertices
-  over a persistent thread pool.
-* :mod:`~repro.matching.process_shard` — the same partitioning over worker
-  processes attached to a shared-memory CSR export (multi-core matching).
-* :mod:`~repro.matching.shard_protocol` — the job/merge protocol both pools
-  share, so thread and process execution stay semantically identical.
+* :mod:`~repro.matching.process_shard` — work partitioning of starting
+  vertices over worker processes attached to a shared-memory CSR export
+  (multi-core matching).
+* :mod:`~repro.matching.shard_protocol` — the pool's job/merge protocol and
+  its :class:`~repro.matching.shard_protocol.ParallelStats`.
 * :mod:`~repro.matching.solution_batch` — the columnar batch the whole
   result pipeline moves, and :mod:`~repro.matching.result_ring` — the
   shared-memory ring transporting it across process shards without
@@ -37,12 +36,12 @@ from repro.matching.turbo import (
     turbo_iso,
 )
 from repro.matching.generic import GenericMatcher
-from repro.matching.parallel import ParallelMatcher, ParallelStats
 from repro.matching.process_shard import (
     ProcessShardPool,
     ShardTransportStats,
     ShardWorkerError,
 )
+from repro.matching.shard_protocol import ParallelStats
 
 __all__ = [
     "MatchConfig",
@@ -57,7 +56,6 @@ __all__ = [
     "turbo_hom",
     "turbo_hom_pp",
     "GenericMatcher",
-    "ParallelMatcher",
     "ParallelStats",
     "ProcessShardPool",
     "ShardWorkerError",

@@ -1,29 +1,29 @@
-"""The job/merge protocol shared by the thread and process shard pools.
+"""The job/merge protocol behind the process shard pool.
 
-Both :class:`~repro.matching.parallel.ParallelMatcher` (threads) and
-:class:`~repro.matching.process_shard.ProcessShardPool` (processes)
-parallelize the same way, following Section 5.2 of the paper: the start
-data vertices of a prepared query are split into small dynamic chunks,
-workers repeatedly claim a chunk and run candidate-region exploration +
-subgraph search on it, and the consumer merges streamed solution batches.
-This module holds the three pieces that must behave *identically* in both
-pools so the two execution modes cannot drift apart semantically:
+:class:`~repro.matching.process_shard.ProcessShardPool` parallelizes
+following Section 5.2 of the paper: the start data vertices of a prepared
+query are split into small dynamic chunks, workers repeatedly claim a chunk
+and run candidate-region exploration + subgraph search on it, and the
+consumer merges streamed solution batches.  This module holds the
+transport-independent pieces, so the matching semantics of a shard cannot
+drift from the sequential matcher's:
 
 * :func:`run_chunk` — the per-chunk matching core (regions, matching order,
-  columnar batch emission, work accounting).  It is the only place either
-  pool runs the matcher, so a semantics fix lands in both at once.
+  columnar batch emission, work accounting).  Shard workers and the
+  engine's in-process cache warming both run it.
 * :func:`chunk_ranges` — the dynamic-chunk partition of the start-candidate
   list.
 * :func:`merge_solution_batches` — the consumer-side merge loop: poll for
   batches, honour the result limit, drain after all workers finished.
+* :class:`ParallelStats` — the per-match work accounting behind the
+  Figure 16 load-balance numbers.
 
 Results move as columnar :class:`~repro.matching.solution_batch.
 SolutionBatch` objects end-to-end: workers pack solutions into flat
 per-vertex arrays as the search produces them, the merge loop slices whole
-batches against the result limit, and the pools' scalar ``iter_match``
-surface is a thin row-iterating adapter.  The pools differ only in
-transport (``queue.Queue`` + ``threading.Event`` vs a shared-memory ring +
-``multiprocessing`` queues + a shared cancel counter), which they supply
+batches against the result limit, and the pool's scalar ``iter_match``
+surface is a thin row-iterating adapter.  The transport (a shared-memory
+ring + ``multiprocessing`` queues + a shared cancel counter) is supplied
 through the ``emit`` / ``stopped`` / ``poll`` / ``finished`` callables.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
@@ -52,10 +52,59 @@ from repro.matching.turbo import PreparedQuery, TurboMatcher
 POLL_INTERVAL = 0.05
 
 
+@dataclass
+class ParallelStats:
+    """Outcome of a parallel match."""
+
+    workers: int
+    chunk_size: int
+    elapsed_ms: float
+    solutions: int
+    per_worker_work: List[int] = field(default_factory=list)
+    per_chunk_work: List[int] = field(default_factory=list)
+
+    @property
+    def total_work(self) -> int:
+        """Sum of per-worker work units."""
+        return sum(self.per_worker_work)
+
+    @property
+    def work_speedup(self) -> float:
+        """Idealized speedup assuming perfectly parallel workers.
+
+        ``total work / max per-worker work`` — the dynamic-chunking load
+        balance the paper's Figure 16 measures on NUMA hardware.
+        """
+        busiest = max(self.per_worker_work, default=0)
+        if busiest == 0:
+            return float(len(self.per_worker_work) or 1)
+        return self.total_work / busiest
+
+    def simulated_speedup(self, workers: Optional[int] = None) -> float:
+        """Speed-up of a simulated dynamic schedule over ``workers`` workers.
+
+        Measured wall clock only shows load balance when the host has a
+        free core per worker.  This helper replays the recorded per-chunk
+        work through a greedy longest-processing-time schedule, which is
+        what the paper's dynamic chunking achieves on real hardware.
+        """
+        worker_count = workers if workers is not None else self.workers
+        if worker_count <= 1 or not self.per_chunk_work:
+            return 1.0
+        loads = [0] * worker_count
+        for work in sorted(self.per_chunk_work, reverse=True):
+            loads[loads.index(min(loads))] += work
+        busiest = max(loads)
+        total = sum(self.per_chunk_work)
+        if busiest == 0:
+            return float(worker_count)
+        return total / busiest
+
+
 class StreamGate:
     """Cross-thread serialization of one pool's solution streams.
 
-    Both shard pools run jobs strictly serialized over shared queues, and a
+    The shard pool runs jobs strictly serialized over shared queues, and a
     new match historically *superseded* a still-open stream.  That is the
     right call within one thread — the thread driving the old generator is
     the one asking for a new stream, so blocking it would deadlock — but
@@ -143,7 +192,8 @@ def run_chunk(
     """Match every start data vertex of one chunk, emitting solution batches.
 
     This is the worker-side matching core of Algorithm 1's start-vertex loop
-    (lines 9–15), shared verbatim by the thread pool and the process pool.
+    (lines 9–15): every shard worker runs it, and so does the engine's
+    in-process cache warming.
     One pooled region arena and one explicit-stack searcher serve the whole
     chunk: exploration writes into the arena, the searcher packs solutions
     straight into the columnar batch under construction (no per-solution
@@ -152,8 +202,8 @@ def run_chunk(
     stopped (result limit reached / generator abandoned); ``stopped`` is
     polled between candidate regions so cancellation takes effect promptly.
     ``region_cache``/``region_key`` enable cross-query region reuse exactly
-    as in :meth:`TurboMatcher.iter_match_batches` — the thread pool shares
-    the engine's cache, each process-shard worker holds its own.
+    as in :meth:`TurboMatcher.iter_match_batches` — in-process warming
+    fills the engine's cache, each process-shard worker holds its own.
     ``warm_only`` turns the chunk into a cache-warming pass: regions are
     explored (and stored) exactly as usual, but the subgraph search is
     skipped and nothing is emitted — the scheduler-driven warm-up uses this
@@ -236,12 +286,12 @@ def run_sequential_batches(
     region_cache=None,
     region_key=None,
 ) -> Iterator[SolutionBatch]:
-    """The single-worker / single-vertex fallback shared by both pools.
+    """The pool's single-worker / single-vertex fallback.
 
     Streams columnar batches straight from the in-process
     :class:`TurboMatcher` (identical semantics, simpler bookkeeping than a
     one-shard job); on exhaustion calls ``on_finish(solutions, work,
-    elapsed_ms)`` so the owning pool can publish its statistics object.
+    elapsed_ms)`` so the pool can publish its statistics object.
     """
     start_time = time.perf_counter()
     matcher = TurboMatcher(graph, config)

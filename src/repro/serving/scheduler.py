@@ -1,8 +1,8 @@
 """Admission control and the sync→async bridge behind the SPARQL server.
 
 The engines are synchronous: a query occupies a thread from ``query_batches``
-until its stream is drained or closed, and the matcher pools underneath
-serialize concurrent streams (see ``StreamGate``).  The HTTP front-end is a
+until its stream is drained or closed, and the process shard pool underneath
+serializes concurrent streams (see ``StreamGate``).  The HTTP front-end is a
 single asyncio event loop.  The :class:`QueryScheduler` joins the two worlds:
 
 * **Admission** — at most ``max_inflight`` queries execute at once; up to

@@ -216,7 +216,7 @@ class TestAggregationParity:
     @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
     def test_parallel_modes_agree(self, small_rdf_store, execution_mode):
         parallel = TurboHomPPEngine(
-            workers=2, execution_mode=execution_mode, result_pipeline="batch"
+            execution_mode=execution_mode, result_pipeline="batch"
         )
         scalar = TurboHomPPEngine(execution_mode="threads", result_pipeline="scalar")
         parallel.load(small_rdf_store)

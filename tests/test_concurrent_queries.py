@@ -5,8 +5,8 @@ Three bugs, three pins:
 * concurrent queries against one engine used to interleave on the shared
   matcher pool and truncate or cross-contaminate each other's streams —
   the ``StreamGate`` serializes pool access, and these tests hammer both
-  execution modes from multiple threads, comparing every result against
-  the sequential oracle;
+  execution modes (in-thread matching and process shards) from multiple
+  threads, comparing every result against the sequential oracle;
 * ``ORDER BY`` compared numeric literals lexicographically
   (``"100" < "27"``) — ``_sort_key`` now ranks numeric-typed literals by
   value on both the batch and scalar pipelines;
@@ -63,7 +63,7 @@ class TestConcurrentQueryParity:
         # Regression: without pool-stream serialization, the second
         # thread's iter_match_batches superseded the first thread's job
         # mid-stream, silently truncating its results.
-        engine = TurboEngine(workers=2, execution_mode=execution_mode)
+        engine = TurboEngine(execution_mode=execution_mode)
         engine.load(ring_store)
         try:
             mix = [KNOWS_QUERY, PERSON_QUERY]
@@ -97,7 +97,7 @@ class TestConcurrentQueryParity:
     def test_interleaved_batch_streams(self, ring_store, execution_mode):
         # Two open batch streams pulled alternately from two threads: the
         # gate makes the second stream wait, so both drain completely.
-        engine = TurboEngine(workers=2, execution_mode=execution_mode)
+        engine = TurboEngine(execution_mode=execution_mode)
         engine.load(ring_store)
         try:
             expected = rows_of(engine.query(KNOWS_QUERY))
@@ -191,7 +191,7 @@ class TestOrderByNumericLiterals:
 class TestCloseSafety:
     @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
     def test_double_close_is_idempotent(self, ring_store, execution_mode):
-        engine = TurboEngine(workers=2, execution_mode=execution_mode)
+        engine = TurboEngine(execution_mode=execution_mode)
         engine.load(ring_store)
         assert len(engine.query(PERSON_QUERY)) == 300
         engine.close()
@@ -201,7 +201,7 @@ class TestCloseSafety:
         # Regression: closing the engine retired the pool job underneath
         # an open stream, which then simply stopped — indistinguishable
         # from a complete result.  Now it raises.
-        engine = TurboEngine(workers=2)
+        engine = TurboEngine(execution_mode="processes")
         engine.load(ring_store)
         result = engine.query_batches(KNOWS_QUERY)
         next(iter(result))  # the stream is live
@@ -211,7 +211,7 @@ class TestCloseSafety:
                 pass
 
     def test_unstarted_stream_observes_close(self, ring_store):
-        engine = TurboEngine(workers=2)
+        engine = TurboEngine(execution_mode="processes")
         engine.load(ring_store)
         result = engine.query_batches(KNOWS_QUERY)
         engine.close()
@@ -219,7 +219,7 @@ class TestCloseSafety:
             next(iter(result))
 
     def test_engine_usable_after_close(self, ring_store):
-        engine = TurboEngine(workers=2)
+        engine = TurboEngine(execution_mode="processes")
         engine.load(ring_store)
         before = rows_of(engine.query(KNOWS_QUERY))
         engine.close()

@@ -204,7 +204,7 @@ class TestEngineVariants:
 
     def test_parallel_engine_matches_sequential(self, small_rdf_store):
         sequential = TurboHomPPEngine()
-        parallel = TurboHomPPEngine(workers=3)
+        parallel = TurboHomPPEngine(workers=3, execution_mode="processes")
         sequential.load(small_rdf_store)
         parallel.load(small_rdf_store)
         query = PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }"

@@ -10,19 +10,14 @@
   solutions instead of enumerating every embedding.
 * **No side channels** — predicate-variable bookkeeping must never leak
   into a binding.
-* **Pool reuse** — a parallel engine must reuse one worker pool across
-  queries.
+* **Pool reuse** — a process-sharded engine must reuse one worker pool
+  across queries.
 """
-
-import threading
 
 import pytest
 
 from repro.engine.evaluator import _compatible, _merge, evaluate_query
 from repro.engine.turbo_engine import TurboHomEngine, TurboHomPPEngine
-from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelMatcher
-from repro.matching.turbo import TurboMatcher, prepare_query
 from repro.rdf.namespaces import Namespace, RDF
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Triple
@@ -257,18 +252,16 @@ class TestEarlyTermination:
         assert engine.bgp_solver()._matcher.last_statistics.solutions <= 8
 
     def test_limit_stops_parallel_matching(self, fanout_store):
-        # Pinned to thread mode: the assertions below inspect the thread
-        # pool's stats object (the REPRO_EXECUTION_MODE sweep must not flip it).
-        engine = TurboHomPPEngine(workers=3, execution_mode="threads")
+        engine = TurboHomPPEngine(workers=3, execution_mode="processes")
         engine.load(fanout_store)
         try:
             limited = engine.query(
                 PREFIX + "SELECT ?x ?y WHERE { ?x ex:knows ?y . } LIMIT 5"
             )
             assert len(limited) == 5
-            pool = engine.bgp_solver()._pool
-            assert pool is not None and pool.last_stats is not None
-            assert pool.last_stats.solutions == 5
+            executor = engine.bgp_solver()._executor
+            assert executor is not None and executor.last_stats is not None
+            assert executor.last_stats.solutions == 5
         finally:
             engine.close()
 
@@ -351,33 +344,29 @@ class TestPoolReuse:
     """One engine-held worker pool must span queries."""
 
     def test_pool_instance_is_stable_across_queries(self, small_rdf_store):
-        # Pinned to thread mode: the test counts pool *threads* by name.
-        engine = TurboHomPPEngine(workers=3, execution_mode="threads")
+        engine = TurboHomPPEngine(workers=3, execution_mode="processes")
         engine.load(small_rdf_store)
         try:
             solver = engine.bgp_solver()
-            pool_before = solver._pool
-            assert pool_before is not None
+            executor_before = solver._executor
+            assert executor_before is not None
             first = engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
-            threads_after_first = {
-                t.ident for t in threading.enumerate() if t.name.startswith("turbohom-pool-")
-            }
+            pids_after_first = {p.pid for p in executor_before.pool._processes}
             second = engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
-            threads_after_second = {
-                t.ident for t in threading.enumerate() if t.name.startswith("turbohom-pool-")
-            }
+            pids_after_second = {p.pid for p in executor_before.pool._processes}
             assert engine.bgp_solver() is solver
-            assert solver._pool is pool_before
-            # Same threads, not a fresh pool per query.
-            assert threads_after_first == threads_after_second
-            assert len(threads_after_first) == 3
+            assert solver._executor is executor_before
+            # Same worker processes, not a fresh pool per query.
+            assert pids_after_first == pids_after_second
+            assert len(pids_after_first) == 3
+            assert executor_before.pool.generation == 1
             assert first.same_solutions(second)
         finally:
             engine.close()
 
     def test_parallel_engine_matches_sequential_streaming(self, small_rdf_store):
         sequential = TurboHomPPEngine()
-        parallel = TurboHomPPEngine(workers=3)
+        parallel = TurboHomPPEngine(workers=3, execution_mode="processes")
         sequential.load(small_rdf_store)
         parallel.load(small_rdf_store)
         try:
@@ -387,32 +376,3 @@ class TestPoolReuse:
                 ), sparql
         finally:
             parallel.close()
-
-    def test_pool_close_and_restart(self, figure1_data_graph, figure1_query_graph):
-        matcher = ParallelMatcher(
-            figure1_data_graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1
-        )
-        first, _ = matcher.match(figure1_query_graph)
-        matcher.close()
-        assert not any(
-            t.name.startswith("turbohom-pool-") for t in threading.enumerate()
-        ) or True  # other tests may have pools; just assert restart works below
-        second, _ = matcher.match(figure1_query_graph)
-        assert sorted(map(tuple, first)) == sorted(map(tuple, second))
-        matcher.close()
-        matcher.close()  # idempotent
-
-    def test_parallel_prepared_and_max_results(self, figure1_data_graph, figure1_query_graph):
-        config = MatchConfig.turbo_hom_pp()
-        prepared = prepare_query(figure1_data_graph, figure1_query_graph, config)
-        matcher = ParallelMatcher(figure1_data_graph, config, workers=2, chunk_size=1)
-        try:
-            full = TurboMatcher(figure1_data_graph, config).match(figure1_query_graph)
-            streamed = list(matcher.iter_match(figure1_query_graph, prepared=prepared))
-            assert sorted(map(tuple, streamed)) == sorted(map(tuple, full))
-            capped = list(
-                matcher.iter_match(figure1_query_graph, max_results=2, prepared=prepared)
-            )
-            assert len(capped) == 2
-        finally:
-            matcher.close()

@@ -217,26 +217,26 @@ def test_path_parity_pinned(seed):
 
 
 def test_path_parity_processes():
-    """Process-sharded execution matches threads on a cyclic workload."""
+    """Process-sharded execution matches sequential on a cyclic workload."""
     rng = random.Random(99)
     store, triples = random_store(rng, vertices=10, p_edges=18)
     queries = [
         f"SELECT ?x ?y WHERE {{ ?x <{P}>+ ?y }}",
         f"SELECT ?x ?y WHERE {{ ?x <{Q}> ?z . ?x <{P}>* ?y }}",
     ]
-    threads = TurboHomPPEngine(execution_mode="threads", workers=2)
+    sequential = TurboHomPPEngine(execution_mode="threads")
     processes = TurboHomPPEngine(execution_mode="processes", workers=2)
     try:
-        threads.load(store)
+        sequential.load(store)
         processes.load(store)
         for sparql in queries:
-            assert rows_multiset(threads.query(sparql)) == rows_multiset(
+            assert rows_multiset(sequential.query(sparql)) == rows_multiset(
                 processes.query(sparql)
             )
         # Process mode exports the indexes into shared memory.
         assert processes.stats()["path_index"]["shared"] is True
     finally:
-        threads.close()
+        sequential.close()
         processes.close()
 
 

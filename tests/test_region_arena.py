@@ -6,8 +6,8 @@ Four families of guarantees:
   change: Hypothesis multigraph workloads (duplicate query edges, predicate
   variables, multi-labelled vertices) must enumerate exactly the
   :class:`GenericMatcher` multiset in both isomorphism and homomorphism
-  modes, through the sequential matcher, the thread pool and the process
-  shard pool, on the batch and the scalar result pipeline, and with the
+  modes, through the sequential matcher and the process shard pool, on
+  the batch and the scalar result pipeline, and with the
   region cache cold *and* warm.
 * **Zero per-solution allocations on the batch path** — the batch pipeline
   must write matched vertices straight into the columnar collectors; the
@@ -33,7 +33,6 @@ from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
 from repro.matching.config import MatchConfig
 from repro.matching.generic import GenericMatcher
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool
 from repro.matching.region_arena import EMPTY_REGION, RegionArena
 from repro.matching.turbo import TurboMatcher
@@ -109,8 +108,8 @@ class TestArenaOracleParity:
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_pools_with_warm_cache_match_oracle(self, seed):
-        """Thread pool (shared cache) and process pool (per-worker caches)
-        must agree with the oracle on cold and warm runs alike."""
+        """Sequential matcher (shared cache) and process pool (per-worker
+        caches) must agree with the oracle on cold and warm runs alike."""
         rng = random.Random(seed)
         graph = random_multigraph(rng)
         query = random_multigraph_query(rng)
@@ -119,19 +118,19 @@ class TestArenaOracleParity:
 
         cache = RegionCache(8 << 20)
         key = ("pool-parity", seed)
-        threads = ParallelMatcher(graph, config, workers=2, chunk_size=2)
+        sequential = TurboMatcher(graph, config)
         processes = ProcessShardPool(
             graph, config, workers=2, chunk_size=2, region_cache_bytes=8 << 20
         )
         try:
             for attempt in range(2):
-                thread_solutions = list(
-                    threads.iter_match(
+                sequential_solutions = list(
+                    sequential.iter_match(
                         query, region_cache=cache, region_key=key
                     )
                 )
-                assert solution_multiset(thread_solutions) == oracle, (
-                    f"threads != oracle (seed {seed}, attempt {attempt})"
+                assert solution_multiset(sequential_solutions) == oracle, (
+                    f"sequential != oracle (seed {seed}, attempt {attempt})"
                 )
                 process_solutions, _ = processes.match(
                     query, plan_key=key
@@ -140,7 +139,6 @@ class TestArenaOracleParity:
                     f"processes != oracle (seed {seed}, attempt {attempt})"
                 )
         finally:
-            threads.close()
             processes.close()
 
 
@@ -183,11 +181,11 @@ class TestEnginePipelineParity:
         stats = engine.stats()
         assert stats["region_cache"]["hits"] > 0
 
-    @pytest.mark.parametrize("mode,workers", [("threads", 2), ("processes", 2)])
-    def test_execution_modes_agree_warm_and_cold(self, store, mode, workers):
+    @pytest.mark.parametrize("mode", ["threads", "processes"])
+    def test_execution_modes_agree_warm_and_cold(self, store, mode):
         reference = TurboHomPPEngine(region_cache_bytes=0)
         reference.load(store)
-        engine = TurboHomPPEngine(workers=workers, execution_mode=mode)
+        engine = TurboHomPPEngine(execution_mode=mode)
         engine.load(store)
         try:
             for sparql in self.QUERIES:

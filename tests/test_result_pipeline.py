@@ -32,9 +32,9 @@ from hypothesis import strategies as st
 
 from repro.baselines.rdf3x import RDF3XEngine
 from repro.engine.turbo_engine import TurboEngine, TurboHomPPEngine
+from repro.exceptions import EngineError
 from repro.matching.config import MatchConfig
 from repro.matching.generic import GenericMatcher
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool
 from repro.matching.solution_batch import SolutionBatch
 from repro.matching.turbo import TurboMatcher
@@ -157,12 +157,12 @@ class TestMatcherBatchParity:
         query = random_multigraph_query(rng)
         config = MatchConfig.turbo_hom_pp()
         oracle = solution_multiset(GenericMatcher(graph, config).match(query))
-        threads = ParallelMatcher(graph, config, workers=2, chunk_size=2)
+        sequential = TurboMatcher(graph, config)
         processes = ProcessShardPool(graph, config, workers=2, chunk_size=2)
         try:
-            thread_rows = [
+            sequential_rows = [
                 row
-                for batch in threads.iter_match_batches(query)
+                for batch in sequential.iter_match_batches(query)
                 for row in batch.iter_rows()
             ]
             process_rows = [
@@ -170,10 +170,9 @@ class TestMatcherBatchParity:
                 for batch in processes.iter_match_batches(query)
                 for row in batch.iter_rows()
             ]
-            assert solution_multiset(thread_rows) == oracle
+            assert solution_multiset(sequential_rows) == oracle
             assert solution_multiset(process_rows) == oracle
         finally:
-            threads.close()
             processes.close()
 
     def test_batch_limit_slices_exactly(self):
@@ -236,7 +235,7 @@ class TestEnginePipelineParity:
     @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
     def test_parallel_batch_equals_sequential_scalar(self, small_rdf_store, execution_mode):
         parallel = TurboHomPPEngine(
-            workers=2, execution_mode=execution_mode, result_pipeline="batch"
+            execution_mode=execution_mode, result_pipeline="batch"
         )
         scalar = TurboHomPPEngine(execution_mode="threads", result_pipeline="scalar")
         parallel.load(small_rdf_store)
@@ -379,20 +378,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="positive"):
             TurboHomPPEngine(workers=workers)
 
-    @pytest.mark.parametrize("value", ["zero", "0", "-3", "2.5"])
-    def test_malformed_worker_env(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_EXECUTION_WORKERS", value)
-        with pytest.raises(ValueError, match="REPRO_EXECUTION_WORKERS"):
-            TurboHomPPEngine()
-
     def test_valid_envs_still_resolve(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTION_MODE", "threads")
-        monkeypatch.setenv("REPRO_EXECUTION_WORKERS", "3")
         monkeypatch.setenv("REPRO_RESULT_PIPELINE", "scalar")
         engine = TurboHomPPEngine()
         assert engine.execution_mode == "threads"
-        assert engine.workers == 3
         assert engine.result_pipeline == "scalar"
+
+    def test_thread_mode_rejects_multiple_workers(self):
+        with pytest.raises(EngineError, match='execution_mode="processes"'):
+            TurboEngine(execution_mode="threads", workers=2)
+
+    def test_process_mode_env_gives_default_engine_two_workers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTION_MODE", "processes")
+        engine = TurboEngine()
+        assert engine.execution_mode == "processes"
+        assert engine.workers == 2
 
 
 # --------------------------------------------------------------------- stats

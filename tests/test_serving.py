@@ -286,10 +286,10 @@ class TestAdmissionAndDeadlines:
 class TestConcurrentClients:
     @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
     def test_streams_complete_under_concurrency(self, small_rdf_store, execution_mode):
-        # The serving acceptance pin: concurrent clients over a parallel
-        # engine each receive the complete, correct multiset their query
-        # would produce sequentially — no interleaved or truncated streams.
-        engine = TurboEngine(workers=2, execution_mode=execution_mode)
+        # The serving acceptance pin: concurrent clients over one engine
+        # each receive the complete, correct multiset their query would
+        # produce sequentially — no interleaved or truncated streams.
+        engine = TurboEngine(execution_mode=execution_mode)
         engine.load(small_rdf_store)
         try:
             mix = [KNOWS_QUERY, PERSON_QUERY]

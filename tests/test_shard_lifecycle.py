@@ -1,4 +1,4 @@
-"""Lifecycle guarantees of the thread and process shard pools.
+"""Lifecycle guarantees of the process shard pool.
 
 Covers the failure modes that only show up around pool shutdown and
 cancellation: worker exceptions and crashes propagating to the consumer,
@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
@@ -22,7 +21,6 @@ from repro.engine.turbo_engine import TurboHomPPEngine
 from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool, ShardWorkerError
 
 HUB, SPOKE = 0, 1
@@ -64,63 +62,6 @@ def segment_exists(name: str) -> bool:
 def exploding_predicate(_data_vertex: int) -> bool:
     """Module-level so it pickles into shard worker processes."""
     raise RuntimeError("predicate boom")
-
-
-# ----------------------------------------------------------- thread pool fix
-class TestParallelMatcherShutdownOrdering:
-    """Closing the matcher mid-iteration must stop jobs before joining."""
-
-    def test_close_mid_iteration_does_not_deadlock(self):
-        # One candidate region with far more solutions than the bounded
-        # output queue holds, so a worker is parked in its stop-aware put
-        # when close() arrives.
-        graph = star_graph(spokes=4000)
-        matcher = ParallelMatcher(
-            graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1
-        )
-        stream = matcher.iter_match(star_query())
-        assert next(stream) is not None
-
-        closed = threading.Event()
-
-        def closer():
-            matcher.close()
-            closed.set()
-
-        thread = threading.Thread(target=closer, daemon=True)
-        thread.start()
-        thread.join(timeout=20)
-        assert closed.is_set(), "close() deadlocked on the bounded result queue"
-        stream.close()
-
-    def test_new_job_supersedes_open_stream(self):
-        """Same supersede semantics as the process pool, on threads."""
-        graph = star_graph(spokes=5000)
-        matcher = ParallelMatcher(
-            graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1
-        )
-        try:
-            stale = matcher.iter_match(star_query())
-            next(stale)
-            solutions, _ = matcher.match(star_query())  # would starve before
-            assert len(solutions) == 5000
-            leftovers = list(stale)  # drains its own queue, then ends
-            assert len(leftovers) < 5000
-        finally:
-            matcher.close()
-
-    def test_matcher_restarts_after_mid_iteration_close(self):
-        graph = star_graph(spokes=50)
-        matcher = ParallelMatcher(
-            graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1
-        )
-        stream = matcher.iter_match(star_query())
-        next(stream)
-        matcher.close()
-        stream.close()
-        solutions, _ = matcher.match(star_query())
-        assert len(solutions) == 50
-        matcher.close()
 
 
 # ---------------------------------------------------------- process lifecycle

@@ -1,10 +1,10 @@
-"""Property sweep: process shards ≡ thread shards ≡ the naive oracle.
+"""Property sweep: process shards ≡ the sequential matcher ≡ the naive oracle.
 
 The hard part of multi-process sharding is keeping it semantically
 identical to the serial path under skewed, adversarial inputs.  This sweep
 generates random *multigraph* workloads — duplicate query edges, predicate
 variables (blank edge labels), multi-labelled vertices — and asserts that
-``ProcessShardPool``, ``ParallelMatcher`` and the :class:`GenericMatcher`
+``ProcessShardPool``, ``TurboMatcher`` and the :class:`GenericMatcher`
 oracle return the same solutions **as unordered multisets** (a Counter
 comparison also catches duplicate or dropped emissions, which plain set
 comparison would mask), in both isomorphism and homomorphism modes.
@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.matching.config import MatchConfig
 from repro.matching.generic import GenericMatcher
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool
+from repro.matching.turbo import TurboMatcher
 from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
 
@@ -89,16 +89,14 @@ def assert_all_modes_agree(seed: int, mode_name: str) -> None:
     # The oracle cannot emit duplicates; neither may any shard pool.
     assert all(count == 1 for count in oracle.values())
 
-    threads = ParallelMatcher(graph, config, workers=2, chunk_size=2)
+    sequential_solutions = TurboMatcher(graph, config).match(query)
     processes = ProcessShardPool(graph, config, workers=2, chunk_size=2)
     try:
-        thread_solutions, _ = threads.match(query)
         process_solutions, _ = processes.match(query)
-        assert solution_multiset(thread_solutions) == oracle, f"threads != oracle (seed {seed})"
-        assert solution_multiset(process_solutions) == oracle, f"processes != oracle (seed {seed})"
     finally:
-        threads.close()
         processes.close()
+    assert solution_multiset(sequential_solutions) == oracle, f"sequential != oracle (seed {seed})"
+    assert solution_multiset(process_solutions) == oracle, f"processes != oracle (seed {seed})"
 
 
 class TestShardParity:
