@@ -12,7 +12,13 @@ from repro.graph.query_graph import QueryGraph
 from repro.matching.config import MatchConfig
 from repro.matching.generic import GenericMatcher
 from repro.matching.process_shard import ProcessShardPool
-from repro.matching.turbo import TurboMatcher, turbo_hom, turbo_hom_pp, turbo_iso
+from repro.matching.turbo import (
+    TurboMatcher,
+    prepare_query,
+    turbo_hom,
+    turbo_hom_pp,
+    turbo_iso,
+)
 
 # Labels shared with the conftest fixtures (Figure 1 of the paper).
 LABEL_A, LABEL_B, LABEL_C = 0, 1, 2
@@ -278,3 +284,103 @@ class TestIterMatch:
         finally:
             parallel.close()
         assert streamed == as_sets(solutions)
+
+
+class TestProcessShardPool:
+    """The process shard pool must agree with the sequential matcher."""
+
+    def test_sharded_equals_sequential(self, figure1_data_graph, figure1_query_graph):
+        sequential = turbo_hom_pp(figure1_data_graph).match(figure1_query_graph)
+        pool = ProcessShardPool(figure1_data_graph, MatchConfig.turbo_hom_pp(), workers=2)
+        try:
+            solutions, stats = pool.match(figure1_query_graph)
+        finally:
+            pool.close()
+        assert as_sets(solutions) == as_sets(sequential)
+        assert stats.solutions == len(sequential)
+
+    def test_sharded_on_larger_random_graph(self):
+        rng = random.Random(5)
+        graph = random_labeled_graph(rng, vertices=60, edges=240)
+        query = random_query(rng, size=3)
+        sequential = TurboMatcher(graph, MatchConfig.turbo_hom_pp()).match(query)
+        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=2)
+        try:
+            solutions, stats = pool.match(query)
+        finally:
+            pool.close()
+        assert as_sets(solutions) == as_sets(sequential)
+        assert stats.workers == 2
+        assert sum(stats.per_chunk_work) == stats.total_work
+
+    def test_simulated_speedup_bounds(self):
+        rng = random.Random(9)
+        graph = random_labeled_graph(rng, vertices=60, edges=240)
+        query = random_query(rng, size=3)
+        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1)
+        try:
+            _, stats = pool.match(query)
+        finally:
+            pool.close()
+        speedup = stats.simulated_speedup(4)
+        assert 1.0 <= speedup <= 4.0
+
+    def test_single_worker_falls_back_to_sequential(self, figure1_data_graph, figure1_query_graph):
+        pool = ProcessShardPool(figure1_data_graph, MatchConfig.turbo_hom_pp(), workers=1)
+        try:
+            solutions, stats = pool.match(figure1_query_graph)
+            assert stats.workers == 1
+            assert len(solutions) == 3
+            # The in-process fallback never starts worker processes.
+            assert pool.generation == 0
+        finally:
+            pool.close()
+
+    def test_config_max_results_honored_across_worker_counts(self):
+        from dataclasses import replace
+
+        rng = random.Random(2)
+        graph = random_labeled_graph(rng, vertices=60, edges=240)
+        query = random_query(rng, size=3)
+        total = len(TurboMatcher(graph, MatchConfig.turbo_hom_pp()).match(query))
+        assert total > 2
+        for limit, expected in ((2, 2), (0, 0)):
+            config = replace(MatchConfig.turbo_hom_pp(), max_results=limit)
+            for workers in (1, 2):
+                pool = ProcessShardPool(graph, config, workers=workers, chunk_size=2)
+                try:
+                    solutions, _ = pool.match(query)
+                finally:
+                    pool.close()
+                assert len(solutions) == expected
+
+    def test_prepared_query_and_max_results(self, figure1_data_graph, figure1_query_graph):
+        config = MatchConfig.turbo_hom_pp()
+        prepared = prepare_query(figure1_data_graph, figure1_query_graph, config)
+        full = TurboMatcher(figure1_data_graph, config).match(figure1_query_graph)
+        pool = ProcessShardPool(figure1_data_graph, config, workers=2, chunk_size=1)
+        try:
+            streamed = list(pool.iter_match(figure1_query_graph, prepared=prepared))
+            capped = list(
+                pool.iter_match(figure1_query_graph, max_results=2, prepared=prepared)
+            )
+        finally:
+            pool.close()
+        assert as_sets(streamed) == as_sets(full)
+        assert len(capped) == 2
+
+    def test_pool_close_and_restart(self, figure1_data_graph, figure1_query_graph):
+        pool = ProcessShardPool(
+            figure1_data_graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1
+        )
+        try:
+            first, _ = pool.match(figure1_query_graph)
+            assert pool.generation == 1
+            pool.close()
+            assert pool._processes == []
+            second, _ = pool.match(figure1_query_graph)
+            assert pool.generation == 2
+            assert as_sets(first) == as_sets(second)
+        finally:
+            pool.close()
+        pool.close()  # idempotent

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -161,6 +162,42 @@ class TestProcessPoolLifecycle:
             stream.close()  # abandon: must cancel the job, not hang in GC
             solutions, _ = pool.match(star_query(), max_results=3)
             assert len(solutions) == 3
+        finally:
+            pool.close()
+
+
+    def test_close_from_another_thread_mid_iteration_does_not_deadlock(self):
+        # Far more solutions than the bounded result queue and rings hold,
+        # so the shards are parked on back-pressure when close() arrives.
+        graph = star_graph(spokes=4000)
+        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1)
+        stream = pool.iter_match(star_query())
+        assert next(stream) is not None
+
+        closed = threading.Event()
+
+        def closer():
+            pool.close()
+            closed.set()
+
+        thread = threading.Thread(target=closer, daemon=True)
+        thread.start()
+        thread.join(timeout=20)
+        assert closed.is_set(), "close() deadlocked on the bounded result queue"
+        assert len(list(stream)) < 4000  # retired stream ends quietly
+        pool.close()
+
+    def test_pool_restarts_after_mid_iteration_close(self):
+        graph = star_graph(spokes=50)
+        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1)
+        try:
+            stream = pool.iter_match(star_query())
+            next(stream)
+            pool.close()
+            stream.close()
+            solutions, _ = pool.match(star_query())
+            assert len(solutions) == 50
+            assert pool.generation == 2
         finally:
             pool.close()
 
